@@ -77,6 +77,19 @@ grep -E 'npdbench_exec_parallel_union_arms_total [1-9]' "$MIXOUT" > /dev/null ||
     exit 1
 }
 
+# Nested-loop smoke: the full 21-query NPD mix must execute without
+# examining a single nested-loop row pair. Typed IRI-template unification
+# prunes or aligns every template pair the mix joins, and any leftover
+# expression equality hash-joins on computed keys, so the
+# npdbench_exec_nested_loop_pairs_total counter has to read exactly 0.
+go run ./cmd/mixer -breakdown -scales 1 -seedscale 0.15 -runs 1 -warmup 0 \
+    -triples=false -clients 1 -metrics > "$MIXOUT"
+grep -E '^npdbench_exec_nested_loop_pairs_total 0$' "$MIXOUT" > /dev/null || {
+    echo "nested-loop smoke: the NPD mix ran nested-loop joins" >&2
+    grep -E 'npdbench_exec_nested_loop_pairs_total' "$MIXOUT" >&2
+    exit 1
+}
+
 # Serving-telemetry smoke: a mix with the slow log and a 0s slow threshold
 # must capture executions, and the exposition must carry the runtime-metrics
 # family (goroutines can never be zero in a live process) plus the usage

@@ -370,13 +370,19 @@ func checkCoverage(in Input, rep *Report) {
 
 // checkJoinability flags object IRI templates disjoint from every subject
 // template in the mapping: such objects can never be joined with a typed
-// resource, which almost always indicates a template typo.
+// resource, which almost always indicates a template typo. With a
+// database, templates are first typed by their source columns
+// (r2rml.Mapping.Typed), so the proof is the one the unfolder prunes with.
 func checkJoinability(in Input, rep *Report) {
+	mp := in.Mapping
+	if in.DB != nil {
+		mp = mp.Typed(in.DB)
+	}
 	var subjects []r2rml.TermMap
-	for _, m := range in.Mapping.Maps {
+	for _, m := range mp.Maps {
 		subjects = append(subjects, m.Subject)
 	}
-	for _, m := range in.Mapping.Maps {
+	for _, m := range mp.Maps {
 		for _, po := range m.POs {
 			if po.Object.Kind != r2rml.IRITemplate {
 				continue

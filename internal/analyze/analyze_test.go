@@ -280,3 +280,34 @@ func TestReportJSONPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinabilityUsesTypedProof pins the typed template proof in the
+// unjoinable-object diagnostic: an object "person/{dept_id}" (INT) can
+// never equal a subject "person/{id}/dept/{title}" (INT-led), though an
+// untyped placeholder could swallow the "/dept/…" suffix.
+func TestJoinabilityUsesTypedProof(t *testing.T) {
+	mp := r2rml.NewMapping()
+	mp.Add(&r2rml.TriplesMap{
+		Name:    "m-sub",
+		SQL:     "SELECT p.id AS id, d.title AS title FROM person p JOIN dept d ON p.dept_id = d.id",
+		Subject: r2rml.IRIMap("http://ex/person/{id}/dept/{title}"),
+	})
+	mp.Add(&r2rml.TriplesMap{
+		Name:    "m-obj",
+		Table:   "person",
+		Subject: r2rml.IRIMap("http://ex/person/{id}/dept/{name}"),
+		POs: []r2rml.PredicateObject{
+			{Predicate: ex + "inDept", Object: r2rml.IRIMap("http://ex/person/{dept_id}")},
+		},
+	})
+	unjoinable := func(in Input) int {
+		return Run(in).Report.ByCode()[CodeUnjoinableObject]
+	}
+	// Against a catalog without the tables, no placeholder is typed.
+	if n := unjoinable(Input{Mapping: mp, DB: sqldb.NewDatabase("empty")}); n != 0 {
+		t.Fatalf("untyped: %d unjoinable-object diagnostics, want 0", n)
+	}
+	if n := unjoinable(Input{Mapping: mp, DB: fixtureDB(t)}); n != 1 {
+		t.Fatalf("typed: %d unjoinable-object diagnostics, want 1", n)
+	}
+}

@@ -142,6 +142,9 @@ type engineMetrics struct {
 	// like parallelMetricNames: tasks, workers, union arms, join
 	// partitions, morsels, batches.
 	parallel [6]*obs.Counter
+	// nestedLoopPairs counts the row pairs nested-loop joins examined
+	// (joins with neither a column nor a computed equality key).
+	nestedLoopPairs *obs.Counter
 	// inflight gauges queries currently inside Answer.
 	inflight *obs.Gauge
 	// usage accumulates the per-query resource accounting totals,
@@ -187,6 +190,7 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	for i, name := range parallelMetricNames {
 		m.parallel[i] = reg.Counter(name)
 	}
+	m.nestedLoopPairs = reg.Counter("npdbench_exec_nested_loop_pairs_total")
 	m.inflight = reg.Gauge("npdbench_queries_inflight")
 	for i, name := range usageMetricNames {
 		m.usage[i] = reg.Counter(name)
@@ -211,11 +215,7 @@ func NewEngine(spec Spec, opts Options) (*Engine, error) {
 	e.load.DataProperties = stats.DataProps
 	// Classification is forced here so that query time excludes it.
 	_ = spec.Onto.SubConceptsOf(owl.NamedConcept(""))
-	if opts.TMappings {
-		e.mapping = rewrite.Saturate(spec.Mapping, spec.Onto)
-	} else {
-		e.mapping = spec.Mapping
-	}
+	e.mapping = e.bindMapping(spec.Mapping)
 	if opts.Constraints {
 		e.cons = analyze.DeriveConstraints(spec.Mapping, spec.Onto, spec.DB)
 	}
@@ -287,16 +287,25 @@ func (e *Engine) SetConstraints(on bool) {
 // SetConstraints applies.
 func (e *Engine) SetMapping(mp *r2rml.Mapping) {
 	e.spec.Mapping = mp
-	if e.opts.TMappings {
-		e.mapping = rewrite.Saturate(mp, e.spec.Onto)
-	} else {
-		e.mapping = mp
-	}
+	e.mapping = e.bindMapping(mp)
 	if e.opts.Constraints {
 		e.cons = analyze.DeriveConstraints(mp, e.spec.Onto, e.spec.DB)
 	}
 	e.verifier = &planck.Verifier{Onto: e.spec.Onto, Cons: e.cons, DB: e.spec.DB}
 	e.InvalidatePlans()
+}
+
+// bindMapping derives the mapping the unfolder works on: a copy of mp whose
+// IRI and literal templates carry their source columns' value kinds from
+// the database catalog (r2rml.Mapping.Typed), T-mapping saturated when
+// that is on. The caller's mapping is never modified, so one mapping can
+// back several engines.
+func (e *Engine) bindMapping(mp *r2rml.Mapping) *r2rml.Mapping {
+	typed := mp.Typed(e.spec.DB)
+	if e.opts.TMappings {
+		return rewrite.Saturate(typed, e.spec.Onto)
+	}
+	return typed
 }
 
 // LoadStats returns the starting-phase statistics.
@@ -344,6 +353,10 @@ type PhaseStats struct {
 	// query's SQL statements (all zero when Options.Parallelism is 1 or
 	// the statements were too small to fan out).
 	Parallel ParallelStats
+	// NestedLoopPairs counts the row pairs this query's nested-loop joins
+	// examined; zero when every join had a column or computed equality
+	// key.
+	NestedLoopPairs int64
 	// PushdownAbandoned is the wall time an abandoned aggregate-pushdown
 	// attempt consumed before the query fell back to in-memory
 	// aggregation. It is part of TotalTime but of no per-stage time: the
@@ -825,16 +838,12 @@ func (e *Engine) answerBGP(bgp *sparql.BGP, push []unfold.PushFilter, qc *queryC
 
 // execStmt runs one unfolded SQL statement under the engine's execution
 // options: intra-query parallelism from the shared worker pool, EXPLAIN
-// ANALYZE profile collection when enabled, and per-statement parallel
+// ANALYZE profile collection when enabled, and per-statement execution
 // counters folded into the phase stats, the execute span, and the
-// npdbench_exec_parallel_* metric family.
+// npdbench_exec_* metric family.
 func (e *Engine) execStmt(stmt *sqldb.SelectStmt, qc *queryCtx, span *obs.Span) (*sqldb.Result, error) {
-	opt := sqldb.ExecOptions{Parallelism: e.par, Pool: e.pool, Usage: qc.usage, Ctx: qc.ctx, BatchSize: e.batch}
-	var stats *sqldb.ExecStats
-	if e.par > 1 || e.batch != 1 {
-		stats = &sqldb.ExecStats{}
-		opt.Stats = stats
-	}
+	stats := &sqldb.ExecStats{}
+	opt := sqldb.ExecOptions{Parallelism: e.par, Pool: e.pool, Usage: qc.usage, Ctx: qc.ctx, BatchSize: e.batch, Stats: stats}
 	var res *sqldb.Result
 	var err error
 	if e.opts.Obs.Profiling() {
@@ -846,16 +855,15 @@ func (e *Engine) execStmt(stmt *sqldb.SelectStmt, qc *queryCtx, span *obs.Span) 
 	} else {
 		res, err = e.spec.DB.ExecSelectOpts(stmt, opt)
 	}
-	if stats != nil {
-		e.publishParallel(qc.st, span, stats)
-		qc.usage.AddParallelTasks(stats.Tasks.Load())
-	}
+	e.publishParallel(qc.st, span, stats)
+	qc.usage.AddParallelTasks(stats.Tasks.Load())
 	return res, err
 }
 
-// publishParallel folds one statement's parallel-execution counters into
-// the query's phase stats, annotates the execute span, and bumps the
-// engine-lifetime npdbench_exec_parallel_* counters.
+// publishParallel folds one statement's execution counters into the
+// query's phase stats, annotates the execute span, and bumps the
+// engine-lifetime npdbench_exec_parallel_* counters and
+// npdbench_exec_nested_loop_pairs_total.
 func (e *Engine) publishParallel(st *PhaseStats, span *obs.Span, s *sqldb.ExecStats) {
 	vals := [6]int64{
 		s.Tasks.Load(), s.Workers.Load(), s.UnionArms.Load(),
@@ -868,6 +876,7 @@ func (e *Engine) publishParallel(st *PhaseStats, span *obs.Span, s *sqldb.ExecSt
 		st.Parallel.JoinPartitions += int(vals[3])
 		st.Parallel.Morsels += int(vals[4])
 		st.Parallel.Batches += int(vals[5])
+		st.NestedLoopPairs += s.NestedLoopPairs.Load()
 	}
 	if span != nil && vals[1] > 0 {
 		span.SetInt("parallel_tasks", int(vals[0]))
@@ -877,6 +886,7 @@ func (e *Engine) publishParallel(st *PhaseStats, span *obs.Span, s *sqldb.ExecSt
 		for i, v := range vals {
 			e.met.parallel[i].Add(v)
 		}
+		e.met.nestedLoopPairs.Add(s.NestedLoopPairs.Load())
 	}
 }
 

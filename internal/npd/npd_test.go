@@ -1,11 +1,13 @@
 package npd
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
 	"npdbench/internal/core"
 	"npdbench/internal/owl"
+	"npdbench/internal/rdf"
 	"npdbench/internal/sqldb"
 	"npdbench/internal/vig"
 )
@@ -322,5 +324,61 @@ func TestSeedInstanceIsConsistent(t *testing.T) {
 	}
 	if rep.ChecksRun < 10 {
 		t.Fatalf("only %d disjointness axioms checked", rep.ChecksRun)
+	}
+}
+
+// TestTypedConstantMatchesStore pins IRI constants against typed template
+// placeholders: wellbore ids are INT columns, so "wellbore/01",
+// "wellbore/1.0" and "wellbore/+1" name no wellbore (no row renders them),
+// while the canonical "wellbore/1" names one. The engine must agree with
+// the reasoning triple store on full multisets for each form.
+func TestTypedConstantMatchesStore(t *testing.T) {
+	db, err := NewSeededDatabase(SeedConfig{Scale: 0.15, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("SELECT wlbNpdidWellbore FROM wellbore_exploration_all")
+	if err != nil || len(res.Rows) == 0 {
+		t.Fatalf("no wellbore to probe: %v", err)
+	}
+	id := res.Rows[0][0].String()
+	spec := core.Spec{Onto: NewOntology(), Mapping: NewMapping(), DB: db, Prefixes: Prefixes()}
+	eng, err := core.NewEngine(spec, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := core.NewStoreEngine(spec, core.StoreOptions{Reasoning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(rows [][]rdf.Term) []string {
+		out := make([]string, len(rows))
+		for i, row := range rows {
+			parts := make([]string, len(row))
+			for j, term := range row {
+				parts[j] = term.String()
+			}
+			out[i] = strings.Join(parts, "\t")
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, form := range []string{id, "0" + id, id + ".0", "+" + id} {
+		q := "PREFIX npdv: <" + NPDV + ">\nSELECT ?n WHERE { <" + Data + "wellbore/" + form + "> npdv:name ?n }"
+		a1, err := eng.Query(q)
+		if err != nil {
+			t.Fatalf("engine %s: %v", form, err)
+		}
+		a2, err := store.Query(q)
+		if err != nil {
+			t.Fatalf("store %s: %v", form, err)
+		}
+		r1, r2 := render(a1.Rows), render(a2.Rows)
+		if strings.Join(r1, "\n") != strings.Join(r2, "\n") {
+			t.Errorf("wellbore/%s: engine %v, store %v", form, r1, r2)
+		}
+		if (form == id) != (len(r2) > 0) {
+			t.Errorf("wellbore/%s: store returned %d rows", form, len(r2))
+		}
 	}
 }

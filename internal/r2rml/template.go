@@ -8,6 +8,7 @@ package r2rml
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"npdbench/internal/sqldb"
 )
@@ -15,12 +16,26 @@ import (
 // Template is an IRI or literal template with {column} placeholders, e.g.
 // "http://npd#wellbore/{id}". A template with no placeholders is a
 // constant.
+//
+// A template may be typed (see Typed): each placeholder then carries the
+// value kind of its source column, which fixes the lexical alphabet its
+// expansions can contain. Typing sharpens DisjointWith and Match; it never
+// changes String, Skeleton or Expand. Templates are immutable once built
+// and safe for concurrent use.
 type Template struct {
 	// Parts alternates literal segments and placeholders: even indexes are
 	// literal text, odd indexes are column names.
 	parts []string
 	// Columns caches the placeholder names in order.
 	Columns []string
+	// kinds[i] is the value kind of placeholder i; nil (or KindNull at an
+	// index) means unknown, i.e. any string.
+	kinds []sqldb.Kind
+	// toks is the template's language as a token sequence (see tokens).
+	toks []token
+	// disjoint memoizes DisjointWith per partner template (*Template ->
+	// bool): the product walk runs once per pair, not per caller.
+	disjoint sync.Map
 }
 
 // ParseTemplate parses "{col}" placeholder syntax. Braces cannot be nested
@@ -53,6 +68,7 @@ func ParseTemplate(s string) (*Template, error) {
 		}
 	}
 	t.parts = append(t.parts, lit.String())
+	t.toks = t.tokens()
 	return &t, nil
 }
 
@@ -154,48 +170,63 @@ func iriUnsafe(s string) string {
 
 // Match attempts the inverse of Expand: given a concrete string, recover
 // the placeholder values. It returns ok=false when the string cannot have
-// been produced by this template. Matching is greedy-left with literal
-// separators; templates whose adjacent placeholders have no separator are
-// rejected as ambiguous.
+// been produced by this template: a literal segment is missing, or a typed
+// placeholder would have to take a value its column cannot render (outside
+// its alphabet, or a non-canonical INT/DATE/FLOAT/BOOL form such as "01"
+// or "+1"). Placeholders split at the leftmost occurrence of the next
+// literal segment that yields valid values; templates whose adjacent
+// placeholders have no separator are rejected as ambiguous.
 func (t *Template) Match(s string) (map[string]string, bool) {
-	vals := make(map[string]string)
-	rest := s
-	for i := 0; i < len(t.parts); i++ {
-		p := t.parts[i]
-		if i%2 == 0 {
-			if !strings.HasPrefix(rest, p) {
-				return nil, false
-			}
-			rest = rest[len(p):]
-			continue
-		}
-		// placeholder: capture up to the next literal part
-		if i+1 >= len(t.parts) {
-			vals[p] = iriUnsafe(rest)
-			rest = ""
-			continue
-		}
-		sep := t.parts[i+1]
-		if sep == "" {
-			// adjacent placeholders or trailing empty literal
-			if i+2 >= len(t.parts) {
-				vals[p] = iriUnsafe(rest)
-				rest = ""
-				continue
-			}
-			return nil, false
-		}
-		j := strings.Index(rest, sep)
-		if j < 0 {
-			return nil, false
-		}
-		vals[p] = iriUnsafe(rest[:j])
-		rest = rest[j:]
-	}
-	if rest != "" {
+	vals := make(map[string]string, len(t.Columns))
+	if !t.matchFrom(1, s, vals) {
 		return nil, false
 	}
 	return vals, true
+}
+
+// matchFrom matches rest against parts[i-1:]: the literal parts[i-1], then
+// placeholder parts[i] and everything after it.
+func (t *Template) matchFrom(i int, rest string, vals map[string]string) bool {
+	lit := t.parts[i-1]
+	if !strings.HasPrefix(rest, lit) {
+		return false
+	}
+	rest = rest[len(lit):]
+	if i >= len(t.parts) {
+		return rest == ""
+	}
+	col := t.parts[i]
+	kind := t.Kind(i / 2)
+	sep := t.parts[i+1]
+	if i+2 >= len(t.parts) {
+		// last placeholder: it takes the rest up to the trailing literal
+		if !strings.HasSuffix(rest, sep) {
+			return false
+		}
+		raw := rest[:len(rest)-len(sep)]
+		if !lexicalOK(kind, raw) {
+			return false
+		}
+		vals[col] = iriUnsafe(raw)
+		return true
+	}
+	if sep == "" {
+		return false // adjacent placeholders: ambiguous
+	}
+	for off := 0; ; {
+		j := strings.Index(rest[off:], sep)
+		if j < 0 {
+			return false
+		}
+		raw := rest[:off+j]
+		if lexicalOK(kind, raw) {
+			vals[col] = iriUnsafe(raw)
+			if t.matchFrom(i+2, rest[off+j:], vals) {
+				return true
+			}
+		}
+		off += j + 1
+	}
 }
 
 // CompatiblePrefix reports whether a string could possibly be produced by
@@ -218,34 +249,26 @@ func (t *Template) SameStructure(u *Template) bool {
 
 // DisjointWith proves that no string can be produced by both templates.
 // It is the shared disjointness test behind the unfolder's branch pruning
-// and the static analyzer's unjoinable-template diagnostics. The proof is
-// conservative (false means "may collide", not "must collide"):
+// and the static analyzer's unjoinable-template diagnostics.
 //
-//   - the leading literal segments must be prefix-compatible (any
-//     expansion of t starts with t.parts[0], and likewise for u);
-//   - the trailing literal segments must be suffix-compatible;
-//   - two constants collide only when equal.
+// Each template denotes a regular language: its literal bytes in order,
+// with every placeholder replaced by the closure of its lexical alphabet
+// (see Typed; an untyped placeholder matches any string). The test is an
+// exact emptiness check on the intersection of the two languages, so it
+// is sound for every value the columns can hold, and as strong as the
+// alphabets allow: "licence/{INT}" is disjoint from
+// "licence/{INT}/task/{TEXT}" because an INT never renders a '/', while
+// "p/{TEXT}-{TEXT}" and "p/{TEXT}_{TEXT}" both produce "p/1_2-3".
 //
-// Templates differing only in interior separators are NOT disjoint:
-// placeholder values are unconstrained strings, so "p/{a}-{b}" and
-// "p/{a}_{b}" can both produce "p/1_2-3".
+// The result is memoized per template pair.
 func (t *Template) DisjointWith(u *Template) bool {
-	a, b := t.parts[0], u.parts[0]
-	if len(a) > len(b) {
-		a, b = b, a
+	if t == u {
+		return false // a template's language is never empty
 	}
-	if !strings.HasPrefix(b, a) {
-		return true
+	if d, ok := t.disjoint.Load(u); ok {
+		return d.(bool)
 	}
-	at, bt := t.parts[len(t.parts)-1], u.parts[len(u.parts)-1]
-	if len(at) > len(bt) {
-		at, bt = bt, at
-	}
-	if !strings.HasSuffix(bt, at) {
-		return true
-	}
-	if t.IsConstant() && u.IsConstant() {
-		return t.parts[0] != u.parts[0]
-	}
-	return false
+	d := !intersects(t.toks, u.toks)
+	t.disjoint.Store(u, d)
+	return d
 }

@@ -105,9 +105,12 @@ func (t Term) String() string {
 	return "?"
 }
 
+// literalEscaper is built once: a strings.Replacer is safe for concurrent
+// use, and building one per call cost allocations on every literal.
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
 func escapeLiteral(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
-	return r.Replace(s)
+	return literalEscaper.Replace(s)
 }
 
 // LocalName returns the fragment or last path segment of an IRI.

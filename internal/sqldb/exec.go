@@ -139,6 +139,131 @@ func extractEquiKeys(conjuncts []Expr, l, r *relation) (keys []equiKey, residual
 	return keys, residual
 }
 
+// computedKeyName names the hidden key columns computedKeyJoin appends; no
+// SQL identifier can reference it.
+const computedKeyName = "\x00key"
+
+// computedKeyJoin is the equi-join path for equalities between expressions
+// rather than columns, e.g. the unfolder's
+//
+//	'…/licence/' || t1.id = '…/licence/' || t2.id || '/task/' || t2.name
+//
+// A conjunct expr(l) = expr(r) whose sides each bind to one input only is
+// lifted into a computed key: each side's expression is evaluated once per
+// row into a hidden key column appended to a copy of that input, and the
+// inputs join on those columns through the ordinary hashJoin (mergeJoin
+// under the sort-merge profile), so the pair costs a build and a probe
+// instead of a nested loop over every row pair. Key equality is Value.Key
+// equality, exactly as for column keys. The hidden columns are dropped
+// from the output. It returns a nil relation, having evaluated nothing,
+// when no conjunct qualifies; nkeys is the number of lifted keys.
+func computedKeyJoin(ctx *execCtx, l, r *relation, conjuncts []Expr, profile Profile) (out *relation, nkeys int, err error) {
+	var lx, rx, residual []Expr
+	for _, c := range conjuncts {
+		if b, isEq := c.(*BinOp); isEq && b.Op == OpEq {
+			switch {
+			case bindsOnly(b.L, l, r) && bindsOnly(b.R, r, l):
+				lx, rx = append(lx, b.L), append(rx, b.R)
+				continue
+			case bindsOnly(b.R, l, r) && bindsOnly(b.L, r, l):
+				lx, rx = append(lx, b.R), append(rx, b.L)
+				continue
+			}
+		}
+		residual = append(residual, c)
+	}
+	if len(lx) == 0 {
+		return nil, 0, nil
+	}
+	cols := append(append([]colMeta{}, l.cols...), r.cols...)
+	if l.numRows() == 0 || r.numRows() == 0 {
+		return &relation{cols: cols}, len(lx), nil
+	}
+	lk, err := withKeyColumns(ctx, l, lx)
+	if err != nil {
+		return nil, 0, err
+	}
+	rk, err := withKeyColumns(ctx, r, rx)
+	if err != nil {
+		return nil, 0, err
+	}
+	keys := make([]equiKey, len(lx))
+	for i := range keys {
+		keys[i] = equiKey{len(l.cols) + i, len(r.cols) + i}
+	}
+	var joined *relation
+	if profile == ProfileSortMerge {
+		joined, err = mergeJoin(ctx, lk, rk, keys, andAll(residual))
+	} else {
+		joined, err = hashJoin(ctx, lk, rk, keys, andAll(residual))
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	// Drop the hidden key columns: [l | lkeys | r | rkeys] -> [l | r].
+	nl, nr, nk := len(l.cols), len(r.cols), len(lx)
+	out = &relation{cols: cols, rows: make([]Row, len(joined.rows))}
+	slab := make([]Value, len(joined.rows)*(nl+nr))
+	for i, row := range joined.rows {
+		o := slab[i*(nl+nr) : (i+1)*(nl+nr) : (i+1)*(nl+nr)]
+		copy(o, row[:nl])
+		copy(o[nl:], row[nl+nk:nl+nk+nr])
+		out.rows[i] = o
+	}
+	return out, nk, nil
+}
+
+// equiJoinAlgo names the equi-join algorithm the profile plans.
+func equiJoinAlgo(profile Profile) string {
+	if profile == ProfileSortMerge {
+		return "merge join"
+	}
+	return "hash join"
+}
+
+// bindsOnly reports whether e references columns of own and none of other.
+func bindsOnly(e Expr, own, other *relation) bool {
+	return bindable(e, own.cols) && !bindable(e, other.cols)
+}
+
+// withKeyColumns returns a row-backed copy of r with one column appended
+// per expression, holding its value for the row.
+func withKeyColumns(ctx *execCtx, r *relation, exprs []Expr) (*relation, error) {
+	fns := make([]evalFn, len(exprs))
+	out := &relation{cols: append([]colMeta{}, r.cols...)}
+	for i, e := range exprs {
+		f, err := bindExpr(e, r.cols)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = f
+		out.cols = append(out.cols, colMeta{name: computedKeyName})
+	}
+	rows := r.matRows()
+	w := len(out.cols)
+	out.rows = make([]Row, len(rows))
+	slab := make([]Value, len(rows)*w)
+	poll := ctx.pollMask()
+	for i, row := range rows {
+		if i&poll == 0 {
+			if err := ctx.cancelled(); err != nil {
+				return nil, err
+			}
+		}
+		o := slab[i*w : (i+1)*w : (i+1)*w]
+		copy(o, row)
+		for j, f := range fns {
+			v, err := f(row)
+			if err != nil {
+				return nil, err
+			}
+			o[len(row)+j] = v
+		}
+		out.rows[i] = o
+	}
+	return out, nil
+}
+
 // splitConjuncts flattens nested ANDs.
 func splitConjuncts(e Expr) []Expr {
 	if e == nil {
@@ -494,6 +619,9 @@ func computeSortedOrder(r *relation, slot int) []int {
 func nestedLoopJoin(ctx *execCtx, l, r *relation, pred Expr) (*relation, error) {
 	l.matRows()
 	r.matRows()
+	if ctx != nil && ctx.stats != nil {
+		ctx.stats.NestedLoopPairs.Add(int64(len(l.rows)) * int64(len(r.rows)))
+	}
 	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
 	var f evalFn
 	if pred != nil {

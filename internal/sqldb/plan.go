@@ -663,6 +663,7 @@ func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (
 		eq, residual := extractEquiKeys(usable, cur, next)
 		lrows, rrows := cur.numRows(), next.numRows()
 		var algo string
+		nkeys := len(eq)
 		var err error
 		switch {
 		case len(eq) > 0 && db.Profile == ProfileSortMerge:
@@ -672,14 +673,20 @@ func (db *Database) buildFrom(ctx *execCtx, from []TableRef, conjuncts []Expr) (
 			algo = "hash join"
 			cur, err = hashJoin(ctx, cur, next, eq, andAll(residual))
 		default:
-			algo = "nested loop"
-			cur, err = nestedLoopJoin(ctx, cur, next, andAll(residual))
+			var joined *relation
+			algo = equiJoinAlgo(db.Profile)
+			joined, nkeys, err = computedKeyJoin(ctx, cur, next, residual, db.Profile)
+			if err == nil && joined == nil {
+				algo = "nested loop"
+				joined, err = nestedLoopJoin(ctx, cur, next, andAll(residual))
+			}
+			cur = joined
 		}
 		if err != nil {
 			return nil, nil, err
 		}
 		ctx.accountRows(cur)
-		ctx.noteJoin(algo, len(eq), lrows, rrows, cur.numRows())
+		ctx.noteJoin(algo, nkeys, lrows, rrows, cur.numRows())
 		pending = stillPending
 	}
 	return cur, pending, nil
@@ -898,7 +905,11 @@ func (db *Database) buildRef(ctx *execCtx, tr TableRef) (*relation, error) {
 			conj := splitConjuncts(t.On)
 			eq, residual := extractEquiKeys(conj, l, r)
 			if len(eq) == 0 {
-				out, err := nestedLoopJoin(ctx, l, r, t.On)
+				out, _, err := computedKeyJoin(ctx, l, r, conj, db.Profile)
+				if err != nil || out != nil {
+					return record(equiJoinAlgo(db.Profile), out, err)
+				}
+				out, err = nestedLoopJoin(ctx, l, r, t.On)
 				return record("nested loop", out, err)
 			}
 			if db.Profile == ProfileSortMerge {

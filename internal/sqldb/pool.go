@@ -116,6 +116,10 @@ type ExecStats struct {
 	// Batches counts fixed-size row batches processed by vectorized
 	// operators (sequential and parallel alike).
 	Batches atomic.Int64
+	// NestedLoopPairs counts the row pairs nested-loop joins examined:
+	// joins with no column or computed equality key, i.e. over non-equality
+	// predicates or none (cross products).
+	NestedLoopPairs atomic.Int64
 }
 
 // add folds other into s (used to roll per-statement stats up into
@@ -130,6 +134,7 @@ func (s *ExecStats) Add(other *ExecStats) {
 	s.JoinPartitions.Add(other.JoinPartitions.Load())
 	s.Morsels.Add(other.Morsels.Load())
 	s.Batches.Add(other.Batches.Load())
+	s.NestedLoopPairs.Add(other.NestedLoopPairs.Load())
 }
 
 // parState is the per-statement handle on the parallel execution machinery;

@@ -9,7 +9,8 @@ type Profile uint8
 const (
 	// ProfileHashJoin is the "MySQL-like" profile: joins are executed in
 	// the order they are written (left-deep) using hash joins on the
-	// available equality predicates, nested loops otherwise.
+	// available equality predicates (column pairs, or expressions over one
+	// side each as computed keys), nested loops otherwise.
 	ProfileHashJoin Profile = iota
 	// ProfileSortMerge is the "PostgreSQL-like" profile: the planner
 	// greedily reorders joins by estimated input cardinality and executes

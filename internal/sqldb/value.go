@@ -172,13 +172,17 @@ func NewDate(days int64) Value { return Value{Kind: KindDate, I: days} }
 // NewGeometry returns a geometry value.
 func NewGeometry(g *Geometry) Value { return Value{Kind: KindGeometry, G: g} }
 
-// ParseDate converts "YYYY-MM-DD" to a date value.
+// ParseDate converts "YYYY-MM-DD" to a date value. A leading '-' marks a
+// year before 0, as String renders it.
 func ParseDate(s string) (Value, error) {
-	parts := strings.Split(s, "-")
+	parts := strings.Split(strings.TrimPrefix(s, "-"), "-")
 	if len(parts) != 3 {
 		return Null, fmt.Errorf("sqldb: bad date %q", s)
 	}
 	y, err1 := strconv.Atoi(parts[0])
+	if strings.HasPrefix(s, "-") {
+		y = -y
+	}
 	m, err2 := strconv.Atoi(parts[1])
 	d, err3 := strconv.Atoi(parts[2])
 	if err1 != nil || err2 != nil || err3 != nil || m < 1 || m > 12 || d < 1 || d > 31 {

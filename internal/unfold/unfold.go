@@ -725,7 +725,9 @@ func constantConditions(alias string, tm r2rml.TermMap, c rdf.Term) ([]sqldb.Exp
 }
 
 // templateConditions unifies a template with a concrete string, producing
-// deterministic per-column equality conditions (placeholder order).
+// deterministic per-column equality conditions (placeholder order). A
+// typed template rejects strings its columns cannot render and compares
+// each column with a literal of the column's own kind.
 func templateConditions(alias string, tmpl *r2rml.Template, s string) ([]sqldb.Expr, bool) {
 	vals, ok := tmpl.Match(s)
 	if !ok {
@@ -740,7 +742,7 @@ func templateConditions(alias string, tmpl *r2rml.Template, s string) ([]sqldb.E
 		conds = append(conds, &sqldb.BinOp{
 			Op: sqldb.OpEq,
 			L:  &sqldb.ColRef{Table: alias, Name: col},
-			R:  &sqldb.Lit{Val: guessValue(v)},
+			R:  &sqldb.Lit{Val: tmpl.Value(col, v)},
 		})
 	}
 	return conds, true
@@ -782,7 +784,7 @@ func unifyOccurrences(a, b occurrence) ([]sqldb.Expr, bool) {
 		}
 		pa, ca := ta.Skeleton()
 		pb, cb := tb.Skeleton()
-		if len(ca) == len(cb) && slices.Equal(pa, pb) {
+		if len(ca) == len(cb) && slices.Equal(pa, pb) && sameKinds(ta, tb) {
 			// identical skeletons: equate columns pairwise
 			var conds []sqldb.Expr
 			for i := range ca {
@@ -807,6 +809,20 @@ func unifyOccurrences(a, b occurrence) ([]sqldb.Expr, bool) {
 		L:  projectLex(a),
 		R:  projectLex(b),
 	}}, true
+}
+
+// sameKinds reports whether no placeholder pair of two equal-skeleton
+// templates is bound to columns of different known kinds: equal renderings
+// of an INT and a TEXT column are not equal SQL values, so such templates
+// must compare their generated strings instead of their columns.
+func sameKinds(a, b *r2rml.Template) bool {
+	for i := range a.Columns {
+		ka, kb := a.Kind(i), b.Kind(i)
+		if ka != kb && ka != sqldb.KindNull && kb != sqldb.KindNull {
+			return false
+		}
+	}
+	return true
 }
 
 func projectLex(o occurrence) sqldb.Expr {
@@ -864,23 +880,6 @@ func literalValue(t rdf.Term) sqldb.Value {
 		return sqldb.NewBool(t.Value == "true" || t.Value == "1")
 	}
 	return sqldb.NewString(t.Value)
-}
-
-// guessValue types a template-matched string fragment: integers and floats
-// are recognized, everything else stays a string.
-func guessValue(s string) sqldb.Value {
-	if s == "" {
-		return sqldb.NewString("")
-	}
-	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return sqldb.NewInt(n)
-	}
-	if strings.ContainsAny(s, ".eE") {
-		if f, err := strconv.ParseFloat(s, 64); err == nil {
-			return sqldb.NewFloat(f)
-		}
-	}
-	return sqldb.NewString(s)
 }
 
 // cloneStmt shallow-copies a parsed SELECT so union arms do not share

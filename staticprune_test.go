@@ -139,3 +139,20 @@ func TestStaticPruneGoldenNPD(t *testing.T) {
 		t.Errorf("static-pruning counts drifted from golden; review and regenerate with -update\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestNPDMixRunsNoNestedLoops runs the 21 NPD queries and requires that
+// no SQL join examined a nested-loop row pair: typed template
+// unification prunes or aligns every template pair the mix joins, and
+// computed-key hash joins take any expression equality left over.
+func TestNPDMixRunsNoNestedLoops(t *testing.T) {
+	engOn, _ := pruneEngines(t)
+	for _, q := range npd.Queries() {
+		ans, err := engOn.Query(q.SPARQL)
+		if err != nil {
+			t.Fatalf("%s: %v", q.ID, err)
+		}
+		if n := ans.Stats.NestedLoopPairs; n != 0 {
+			t.Errorf("%s: %d nested-loop row pairs", q.ID, n)
+		}
+	}
+}
