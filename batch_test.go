@@ -9,15 +9,19 @@ import (
 )
 
 // TestBatchRowIdentical runs all 21 NPD queries on engines that differ only
-// in Options.BatchSize — 1 (the row-at-a-time executor) versus the default
-// vectorized batches — and asserts the answers are identical row-for-row
-// (the ResultSet rendering is order-sensitive). It runs at sequential and
-// at NumCPU intra-query parallelism, so the batched morsel/partition paths
-// are covered too; ci.sh runs the package under -race, which makes the
-// parallel variant a real race detector for shared segments and scratch
-// buffers.
+// in Options.BatchSize — 1 (the row-at-a-time executor) versus vectorized
+// batches — and asserts the answers are identical row-for-row (the
+// ResultSet rendering is order-sensitive). At sequential parallelism it
+// covers the batch sizes 256, the default and 4096; at NumCPU
+// parallelism the default batch size, so the batched morsel/partition
+// paths are covered too. ci.sh runs the package under -race, which makes
+// the parallel variant a real race detector for shared segments and
+// scratch buffers.
 func TestBatchRowIdentical(t *testing.T) {
-	for _, par := range []int{1, runtime.NumCPU()} {
+	for _, lvl := range []struct{ par, batch int }{
+		{1, 256}, {1, 0}, {1, 4096}, {runtime.NumCPU(), 0},
+	} {
+		par := lvl.par
 		spec := parallelSpec(t)
 		rowOpts := core.DefaultOptions()
 		rowOpts.Parallelism = par
@@ -28,6 +32,7 @@ func TestBatchRowIdentical(t *testing.T) {
 		}
 		batchOpts := core.DefaultOptions()
 		batchOpts.Parallelism = par
+		batchOpts.BatchSize = lvl.batch
 		batchEng, err := core.NewEngine(spec, batchOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -44,11 +49,11 @@ func TestBatchRowIdentical(t *testing.T) {
 			}
 			batch, err := batchEng.Answer(parsed.Clone())
 			if err != nil {
-				t.Fatalf("par=%d %s (batched): %v", par, q.ID, err)
+				t.Fatalf("par=%d batch=%d %s (batched): %v", par, lvl.batch, q.ID, err)
 			}
 			if got, want := batch.String(), row.String(); got != want {
-				t.Errorf("par=%d %s: batched answer differs from row path\nbatched:\n%s\nrow path:\n%s",
-					par, q.ID, got, want)
+				t.Errorf("par=%d batch=%d %s: batched answer differs from row path\nbatched:\n%s\nrow path:\n%s",
+					par, lvl.batch, q.ID, got, want)
 			}
 			if batch.Stats.Parallel.Batches > 0 {
 				batchWorkDone = true
@@ -59,7 +64,7 @@ func TestBatchRowIdentical(t *testing.T) {
 			}
 		}
 		if !batchWorkDone {
-			t.Errorf("par=%d: no query reported batch execution work; the vectorized path never ran", par)
+			t.Errorf("par=%d batch=%d: no query reported batch execution work; the vectorized path never ran", par, lvl.batch)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package npdbench
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -556,21 +557,27 @@ func BenchmarkAblation_AggregatePushdown(b *testing.B) {
 }
 
 // BenchmarkBatchExecutor contrasts the row-at-a-time executor (BatchSize 1)
-// with the vectorized batch executor across its size ladder, over the full
-// 21-query NPD mix end-to-end. allocs/op and ns/op per level are the
-// numbers EXPERIMENTS.md tabulates; the answers themselves are pinned
-// identical by TestBatchRowIdentical.
+// with the vectorized batch executor across its size ladder at parallelism
+// 1, then times the default batch size at parallelism 2 and NumCPU, over
+// the full 21-query NPD mix end-to-end. allocs/op and ns/op per level are
+// the numbers EXPERIMENTS.md tabulates; the answers themselves are pinned
+// identical by TestBatchRowIdentical and TestParallelSequentialIdentical.
 func BenchmarkBatchExecutor(b *testing.B) {
 	db, _, err := mixer.BuildInstance(1, benchSeedScale, benchSeed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	spec := core.Spec{Onto: npd.NewOntology(), Mapping: npd.NewMapping(), DB: db, Prefixes: npd.Prefixes()}
-	for _, bs := range []int{1, 256, 1024, 4096} {
+	type level struct{ par, batch int }
+	levels := []level{{1, 1}, {1, 256}, {1, sqldb.DefaultBatchSize}, {1, 4096}, {2, sqldb.DefaultBatchSize}}
+	if n := runtime.NumCPU(); n > 2 {
+		levels = append(levels, level{n, sqldb.DefaultBatchSize})
+	}
+	for _, lvl := range levels {
 		opts := core.DefaultOptions()
 		opts.VerifyPlans = core.VerifyOff
-		opts.Parallelism = 1
-		opts.BatchSize = bs
+		opts.Parallelism = lvl.par
+		opts.BatchSize = lvl.batch
 		eng, err := core.NewEngine(spec, opts)
 		if err != nil {
 			b.Fatal(err)
@@ -590,7 +597,11 @@ func BenchmarkBatchExecutor(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		b.Run(fmt.Sprintf("batch%d", bs), func(b *testing.B) {
+		name := fmt.Sprintf("batch%d", lvl.batch)
+		if lvl.par > 1 {
+			name += fmt.Sprintf("-par%d", lvl.par)
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, p := range parsed {

@@ -24,8 +24,8 @@
 //	mixer -breakdown -metrics           # print the metric exposition after the run
 //	mixer -breakdown -slowlog 16        # capture the 16 slowest executions
 //	mixer -breakdown -sample 0.1        # retain ~10% of traces (plus all slow ones)
-//	mixer -benchdiff old.json new.json  # compare two benchmark result files;
-//	                                    # exits 1 on a p50+p95 regression
+//	mixer -benchdiff old.jsonl new.jsonl  # compare two JSONL run logs;
+//	                                      # exits 1 on a p50+p95 regression
 //
 // Serving (against a running obdaqd endpoint):
 //
@@ -73,8 +73,6 @@ func main() {
 		planCacheSz = flag.Int("plancachesize", 0, "plan cache capacity in entries (0 = engine default)")
 		parallel    = flag.Int("parallel", 0, "intra-query parallel workers per engine (0 = NumCPU, 1 = sequential)")
 		batchsize   = flag.Int("batchsize", 0, "vectorized executor batch size (0 = default 1024, 1 = row-at-a-time)")
-		parbench    = flag.String("parbench", "", "run the parallel-speedup benchmark and write its JSON report to this file")
-		batchbench  = flag.String("batchbench", "", "run the batch-size benchmark and write its JSON report to this file")
 		jsonl       = flag.String("jsonl", "", "write a JSONL run log (one record per query execution)")
 		validate    = flag.String("validatejsonl", "", "validate a JSONL run log and exit")
 		httpAddr    = flag.String("http", "", "serve /metrics, /debug/slowlog and net/http/pprof on this address while running")
@@ -89,10 +87,7 @@ func main() {
 		rates       = flag.String("rates", "5,20", "comma-separated offered arrival rates (queries/second) for -servebench")
 		rateDur     = flag.Duration("rateduration", 5*time.Second, "how long each -servebench arrival rate is sustained")
 		tenants     = flag.Int("tenants", 2, "independent open-loop arrival processes for -servebench")
-		benchdiff   = flag.Bool("benchdiff", false, "diff two benchmark result files (parbench/batchbench JSON or JSONL run logs): mixer -benchdiff old new")
-		diffThresh  = flag.Float64("diffthreshold", 0.30, "relative p50+p95 slowdown that counts as a regression")
-		diffMinRuns = flag.Int("diffminruns", 3, "minimum runs per side before a query is judged")
-		diffFloor   = flag.Duration("difffloor", 500*time.Microsecond, "absolute p50 delta a regression must clear")
+		benchdiff   = flag.Bool("benchdiff", false, "diff two JSONL run logs: mixer -benchdiff old.jsonl new.jsonl")
 	)
 	flag.Parse()
 
@@ -100,8 +95,7 @@ func main() {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-benchdiff needs exactly two file arguments, got %d", flag.NArg()))
 		}
-		opt := mixer.DiffOptions{Threshold: *diffThresh, MinRuns: *diffMinRuns, Floor: *diffFloor}
-		rep, err := mixer.BenchDiffFiles(flag.Arg(0), flag.Arg(1), opt)
+		rep, err := mixer.BenchDiffFiles(flag.Arg(0), flag.Arg(1), mixer.DefaultDiffOptions())
 		if err != nil {
 			fatal(err)
 		}
@@ -275,40 +269,6 @@ func main() {
 	}
 
 	switch {
-	case *batchbench != "":
-		rep, err := mixer.RunBatchBench(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*batchbench, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		for _, lvl := range rep.Levels {
-			fmt.Printf("batch size %d: mix %.1fms, speedup %.2fx, allocs %d, identical=%v\n",
-				lvl.BatchSize, lvl.MixTotalMS, lvl.SpeedupVsRow, lvl.MixAllocs, lvl.IdenticalToRowPath)
-		}
-		fmt.Printf("batch benchmark report written to %s (parallelism=%d)\n", *batchbench, rep.Parallelism)
-	case *parbench != "":
-		rep, err := mixer.RunParallelBench(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		data, err := rep.JSON()
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(*parbench, append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		for _, lvl := range rep.Levels {
-			fmt.Printf("parallelism %d: mix %.1fms, speedup %.2fx, identical=%v\n",
-				lvl.Parallelism, lvl.MixTotalMS, lvl.SpeedupVsSeq, lvl.IdenticalToSequential)
-		}
-		fmt.Printf("parallel benchmark report written to %s (NumCPU=%d)\n", *parbench, rep.NumCPU)
 	case *table == 3:
 		emit(mixer.Table3())
 	case *table == 7:

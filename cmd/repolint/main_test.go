@@ -95,8 +95,7 @@ func TestRepoIsStrictClean(t *testing.T) {
 	}
 	rep := lint.Run(mod, lint.Catalog())
 	for _, d := range rep.Diags {
-		// Info findings (the hotalloc work list) are pinned by the hot-report
-		// golden, not treated as gate failures — mirror the exit policy.
+		// Info findings are not gate failures — mirror the exit policy.
 		if d.Sev < lint.SevWarning {
 			continue
 		}

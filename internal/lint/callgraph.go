@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
@@ -14,12 +13,12 @@ import (
 // reference can become a call the analysis cannot see, so reachability
 // treats it as one). Calls inside function literals are attributed to the
 // enclosing declaration: the literal runs with the declaration's state and
-// its allocations and loops belong to the declaration's cost.
+// its locks and loops belong to the declaration.
 //
 // Dynamic dispatch (interface method calls, calls through function-typed
 // values) has no static callee and produces no edge. Passes that consume
-// the graph are written for that asymmetry: a missing edge can hide work
-// from a hot-path report, never invent a diagnostic.
+// the graph are written for that asymmetry: a missing edge can hide a
+// finding, never invent a diagnostic.
 
 // FuncNode is one declared function or method of the module.
 type FuncNode struct {
@@ -212,38 +211,6 @@ func callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	case *ast.SelectorExpr:
 		fn, _ := info.Uses[fun.Sel].(*types.Func)
 		return fn
-	}
-	return nil
-}
-
-// enclosingFuncs indexes, per package, each function declaration by its
-// body's source interval so passes can attribute positions to functions.
-type declIndex struct {
-	nodes []*FuncNode
-}
-
-func newDeclIndex(g *CallGraph) *declIndex {
-	ix := &declIndex{}
-	for _, n := range g.Nodes {
-		ix.nodes = append(ix.nodes, n)
-	}
-	sort.Slice(ix.nodes, func(i, j int) bool { return ix.nodes[i].Decl.Pos() < ix.nodes[j].Decl.Pos() })
-	return ix
-}
-
-// enclosing returns the function whose declaration covers pos.
-func (ix *declIndex) enclosing(pos token.Pos) *FuncNode {
-	lo, hi := 0, len(ix.nodes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if ix.nodes[mid].Decl.End() <= pos {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(ix.nodes) && ix.nodes[lo].Decl.Pos() <= pos && pos < ix.nodes[lo].Decl.End() {
-		return ix.nodes[lo]
 	}
 	return nil
 }

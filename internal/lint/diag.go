@@ -72,17 +72,12 @@ func (s Suppression) String() string {
 }
 
 // Report is the outcome of one engine run: surviving diagnostics, the
-// diagnostics silenced by directives, every directive seen, the ranked
-// hot-path allocation entries, and the per-phase wall times (the ci timing
-// budget gates on their sum).
+// diagnostics silenced by directives, every directive seen, and the
+// per-phase wall times (the ci timing budget gates on their sum).
 type Report struct {
 	Diags        []Diagnostic
 	Suppressed   []Diagnostic
 	Suppressions []Suppression
-
-	// Hot is the ranked hot-path allocation work list behind
-	// `repolint -hotreport` (nil under RunIntra).
-	Hot []HotEntry
 
 	Packages      int
 	Files         int

@@ -71,7 +71,6 @@ func Catalog() []*Pass {
 		passTimingFunnel(),
 		passSrvHygiene(),
 		passStopFlow(),
-		passHotAlloc(),
 	}
 }
 
@@ -119,8 +118,6 @@ func run(mod *Module, passes []*Pass, interp bool) *Report {
 		sumStart := obs.Now()
 		ip = buildInterp(mod, annList, g)
 		rep.SummaryTime = obs.Since(sumStart)
-		ip.hot = hotEntries(ip)
-		rep.Hot = ip.hot
 	}
 	start := obs.Now()
 	for _, pkg := range mod.Pkgs {

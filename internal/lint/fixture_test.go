@@ -29,9 +29,6 @@ var fixtureCases = []struct {
 	{"timingfunnel", "timingfunnel", "fixture/timingfunnel"},
 	{"srvhygiene", "srvhygiene", "fixture/srvhygiene"},
 	{"stopflow", "stopflow", "fixture/stopflow"},
-	// The hotalloc roots live in internal/sqldb, so the fixture borrows a
-	// qualifying import path (as gohygiene does).
-	{"hotalloc", "hotalloc", "fixture/internal/sqldb"},
 	// The interprocedural fixtures: every seeded violation crosses a
 	// function boundary. TestInterpCatchesWhatIntraMisses additionally
 	// asserts the intra-procedural engine reports zero on them.
@@ -137,7 +134,7 @@ func TestReportJSON(t *testing.T) {
 // TestCatalogOrder pins the pass catalog: order is part of the output
 // contract, and every pass must be reachable by name.
 func TestCatalogOrder(t *testing.T) {
-	want := []string{"sharedmut", "lockguard", "atomicmix", "gohygiene", "iterclose", "discarderr", "timingfunnel", "srvhygiene", "stopflow", "hotalloc"}
+	want := []string{"sharedmut", "lockguard", "atomicmix", "gohygiene", "iterclose", "discarderr", "timingfunnel", "srvhygiene", "stopflow"}
 	cat := Catalog()
 	if len(cat) != len(want) {
 		t.Fatalf("catalog has %d passes, want %d", len(cat), len(want))

@@ -9,8 +9,8 @@ import (
 // Per-function summaries are the interprocedural currency of the engine:
 // each function is analyzed once, bottom-up over the call graph's SCC
 // condensation, and the facts a caller needs about a callee — what locks it
-// takes or drops, whether its results carry owned or shared backing,
-// whether it allocates on every call, whether its loops observe the
+// takes or drops, whether its results carry owned or shared backing, and
+// whether its loops observe the
 // cooperative-stop signal — are available at every call site without
 // re-walking the callee. The lattice is deliberately shallow: every fact
 // defaults to "unknown", unknown facts never produce diagnostics, and a
@@ -60,12 +60,6 @@ type Summary struct {
 	// the call: into a field, an element of a container, a channel, or a
 	// callee that does the same.
 	EscapesParam []bool
-
-	// Allocates reports a direct per-call heap allocation in the body
-	// (make, new, composite literal, closure, fmt formatting); AllocKind
-	// is the dominant kind for reporting.
-	Allocates bool
-	AllocKind string
 
 	// ObservesStop reports that the body observes a cooperative-stop
 	// signal: an atomic.Bool Load, a channel receive, or context.Done.
@@ -122,8 +116,6 @@ type Interp struct {
 
 	owners     map[*types.Named]bool
 	fieldTypes []types.Type
-	declIx     *declIndex
-	hot        []HotEntry
 }
 
 // SummaryOf returns the callee's summary (nil for functions without a body
@@ -178,7 +170,6 @@ func buildInterp(mod *Module, anns []*annotations, g *CallGraph) *Interp {
 		Summaries: map[*types.Func]*Summary{},
 	}
 	ip.owners, ip.fieldTypes = buildOwnership(ip.Ann.shared, mod.Pkgs)
-	ip.declIx = newDeclIndex(g)
 	for _, n := range g.BottomUp {
 		ip.Summaries[n.Fn] = ip.summarize(n)
 	}
@@ -234,7 +225,6 @@ func (ip *Interp) summarize(n *FuncNode) *Summary {
 
 	ip.lockFacts(n, s, slots)
 	ip.ownershipFacts(n, s, sig, slots)
-	ip.allocFacts(n, s)
 	ip.stopFacts(n, s)
 	return s
 }
@@ -736,63 +726,6 @@ func forEachAssign(n *FuncNode, obj *types.Var, fn func(rhs ast.Expr)) {
 		}
 		return true
 	})
-}
-
-// allocFacts records whether the body allocates directly on a call.
-func (ip *Interp) allocFacts(n *FuncNode, s *Summary) {
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		if s.Allocates {
-			return false
-		}
-		// append is excluded here: appending into preallocated storage is
-		// the standard non-allocating pattern, and the hot-path walker
-		// judges appends in place with capacity evidence.
-		if kind, ok := allocSiteKind(n.Pkg, node); ok && kind != "append" {
-			s.Allocates, s.AllocKind = true, kind
-		}
-		return true
-	})
-}
-
-// allocSiteKind classifies one AST node as a direct heap-allocation site.
-func allocSiteKind(pkg *Package, node ast.Node) (string, bool) {
-	switch x := node.(type) {
-	case *ast.CompositeLit:
-		return "composite", true
-	case *ast.FuncLit:
-		return "closure", true
-	case *ast.CallExpr:
-		if id, ok := x.Fun.(*ast.Ident); ok {
-			switch id.Name {
-			case "make", "new":
-				return "make", true
-			case "append":
-				return "append", true
-			}
-		}
-		if name, ok := isPkgFunc2(pkg, x, "fmt", "Sprintf", "Sprint", "Sprintln", "Errorf", "Appendf"); ok {
-			return "fmt." + name, true
-		}
-	}
-	return "", false
-}
-
-// isPkgFunc2 is isPkgFunc over a package instead of a pass context.
-func isPkgFunc2(pkg *Package, call *ast.CallExpr, pkgPath string, names ...string) (string, bool) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != pkgPath {
-		return "", false
-	}
-	for _, n := range names {
-		if fn.Name() == n {
-			return n, true
-		}
-	}
-	return "", false
 }
 
 // stopFacts records stop-signal observation and spin-suspect loops.

@@ -1,7 +1,6 @@
 package mixer
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,10 +11,8 @@ import (
 	"npdbench/internal/obs"
 )
 
-// Bench-regression differ: compares two benchmark result files — committed
-// parbench reports (BENCH_parallel.json), batchbench reports
-// (BENCH_batch.json), or JSONL run logs — per query, on the p50/p95 of
-// total latency. It is noise-aware: a query
+// Bench-regression differ: compares two JSONL run logs (`mixer -jsonl`)
+// per query, on the p50/p95 of total latency. It is noise-aware: a query
 // only counts as regressed when BOTH percentiles move past the relative
 // threshold, the absolute move clears a floor (sub-floor timings are
 // dominated by scheduler jitter), and both sides have enough runs for
@@ -74,12 +71,8 @@ type DiffReport struct {
 	Skipped     int // few-runs + below-floor
 }
 
-// BenchDiffFiles loads and diffs two benchmark result files. Each file
-// may be a parbench JSON report (queries keyed "qN@pK" per parallelism
-// level), a batchbench JSON report (keyed "qN@bK" per batch size), or a
-// JSONL run log (keyed by query id); the two files must not
-// mix formats in a way that leaves no common keys, but the differ itself
-// only matches on keys.
+// BenchDiffFiles loads and diffs two JSONL run logs, matching records on
+// their query id.
 func BenchDiffFiles(oldPath, newPath string, opt DiffOptions) (*DiffReport, error) {
 	oldData, err := os.ReadFile(oldPath)
 	if err != nil {
@@ -100,97 +93,16 @@ func BenchDiffFiles(oldPath, newPath string, opt DiffOptions) (*DiffReport, erro
 	return diffSeries(oldSeries, oldOrder, newSeries, newOrder, opt), nil
 }
 
-// extractSeries parses a result file into per-query latency summaries.
-// A file that decodes as one JSON document with a non-empty "levels"
-// array is a parbench report; anything else is treated as a JSONL run
-// log (whose lines also start with '{', so a leading-brace sniff cannot
-// distinguish the two).
+// extractSeries parses a JSONL run log into per-query latency summaries.
 func extractSeries(data []byte) (map[string]benchSeries, []string, error) {
 	trimmed := strings.TrimSpace(string(data))
 	if trimmed == "" {
 		return nil, nil, fmt.Errorf("empty benchmark file")
 	}
-	if rep, ok := decodeBatchbench([]byte(trimmed)); ok {
-		return batchbenchSeries(rep)
-	}
-	if rep, ok := decodeParbench([]byte(trimmed)); ok {
-		return parbenchSeries(rep)
-	}
-	return runlogSeries(trimmed)
-}
-
-// decodeBatchbench reports whether data is a single batchbench report
-// document. It must be sniffed before parbench: both formats carry a
-// "levels" array, but only batchbench levels have a nonzero batch_size
-// (a parbench level decoded here leaves BatchSize at zero).
-func decodeBatchbench(data []byte) (*BatchBenchReport, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rep BatchBenchReport
-	if err := dec.Decode(&rep); err != nil {
-		return nil, false
-	}
-	if dec.More() {
-		return nil, false
-	}
-	return &rep, len(rep.Levels) > 0 && rep.Levels[0].BatchSize > 0
-}
-
-func batchbenchSeries(rep *BatchBenchReport) (map[string]benchSeries, []string, error) {
-	out := make(map[string]benchSeries)
-	var order []string
-	for _, lvl := range rep.Levels {
-		for _, q := range lvl.Queries {
-			key := fmt.Sprintf("%s@b%d", q.QueryID, lvl.BatchSize)
-			out[key] = benchSeries{
-				key:  key,
-				p50:  q.P50MS * 1000,
-				p95:  q.P95MS * 1000,
-				runs: rep.Runs,
-			}
-			order = append(order, key)
-		}
-	}
-	return out, order, nil
-}
-
-// decodeParbench reports whether data is a single parbench report
-// document. A JSONL log fails here: the decoder finds trailing values
-// after the first record.
-func decodeParbench(data []byte) (*ParBenchReport, bool) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	var rep ParBenchReport
-	if err := dec.Decode(&rep); err != nil {
-		return nil, false
-	}
-	if dec.More() {
-		return nil, false
-	}
-	return &rep, len(rep.Levels) > 0
-}
-
-func parbenchSeries(rep *ParBenchReport) (map[string]benchSeries, []string, error) {
-	out := make(map[string]benchSeries)
-	var order []string
-	for _, lvl := range rep.Levels {
-		for _, q := range lvl.Queries {
-			key := fmt.Sprintf("%s@p%d", q.QueryID, lvl.Parallelism)
-			out[key] = benchSeries{
-				key:  key,
-				p50:  q.P50MS * 1000,
-				p95:  q.P95MS * 1000,
-				runs: rep.Runs,
-			}
-			order = append(order, key)
-		}
-	}
-	return out, order, nil
-}
-
-func runlogSeries(text string) (map[string]benchSeries, []string, error) {
 	samples := make(map[string][]float64)
 	var order []string
 	n := 0
-	for _, line := range strings.Split(text, "\n") {
+	for _, line := range strings.Split(trimmed, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" {
 			continue

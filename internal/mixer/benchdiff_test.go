@@ -1,7 +1,7 @@
 package mixer
 
 import (
-	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -97,144 +97,32 @@ func TestBenchDiffThresholdGuards(t *testing.T) {
 	}
 }
 
-func TestBenchDiffParbenchFormat(t *testing.T) {
-	mk := func(p50, p95 float64) []byte {
-		rep := ParBenchReport{
-			NumCPU: 4, GOMAXPROCS: 4, SeedScale: 1, Seed: 42, Warmup: 1, Runs: 5,
-			Levels: []ParBenchLevel{
-				{Parallelism: 1, Queries: []ParBenchQuery{{QueryID: "q6", MeanMS: p50, P50MS: p50, P95MS: p95, Rows: 9}}},
-				{Parallelism: 4, Queries: []ParBenchQuery{{QueryID: "q6", MeanMS: p50 / 2, P50MS: p50 / 2, P95MS: p95 / 2, Rows: 9}}},
-			},
-		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, mk(10, 12), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(newPath, mk(20, 25), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := BenchDiffFiles(oldPath, newPath, DefaultDiffOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := verdicts(rep)
-	if got["q6@p1"] != "regressed" || got["q6@p4"] != "regressed" {
-		t.Fatalf("parbench keys: %v", got)
-	}
-	// ms-to-µs conversion: old p50 of 10ms must read as 10000µs.
-	for _, e := range rep.Entries {
-		if e.Key == "q6@p1" && e.OldP50US != 10000 {
-			t.Fatalf("q6@p1 old p50 = %vµs, want 10000", e.OldP50US)
-		}
-	}
-	// Self-diff of a parbench report is clean.
-	self, err := BenchDiffFiles(oldPath, oldPath, DefaultDiffOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if self.Regressions != 0 {
-		t.Fatalf("parbench self-diff regressed: %+v", verdicts(self))
-	}
-}
-
-// The committed batchbench fixture pair seeds one regression at the 1024
-// batch size (p50 +140%, p95 +150%) while the row-path level stays flat —
-// the pair ci.sh self-diffs expecting a clean report.
-const (
-	batchFixtureOld = "testdata/batchbench_old.json"
-	batchFixtureNew = "testdata/batchbench_new.json"
-)
-
-func TestBenchDiffBatchbenchFormat(t *testing.T) {
-	rep, err := BenchDiffFiles(batchFixtureOld, batchFixtureNew, DefaultDiffOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := verdicts(rep)
-	if got["q6@b1"] != "ok" || got["q6@b1024"] != "regressed" {
-		t.Fatalf("batchbench keys: %v", got)
-	}
-	// ms-to-µs conversion: old p50 of 10ms must read as 10000µs.
-	for _, e := range rep.Entries {
-		if e.Key == "q6@b1" && e.OldP50US != 10000 {
-			t.Fatalf("q6@b1 old p50 = %vµs, want 10000", e.OldP50US)
-		}
-	}
-	// Self-diff of a batchbench report is clean.
-	for _, f := range []string{batchFixtureOld, batchFixtureNew} {
-		self, err := BenchDiffFiles(f, f, DefaultDiffOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if self.Regressions != 0 || self.Improved != 0 {
-			t.Fatalf("batchbench self-diff of %s not clean: %+v", f, verdicts(self))
-		}
-	}
-	// The batchbench sniff must not swallow parbench reports: a parbench
-	// file still yields @p keys even though both formats carry "levels".
-	parRep := ParBenchReport{
-		NumCPU: 4, GOMAXPROCS: 4, SeedScale: 1, Seed: 42, Warmup: 1, Runs: 5,
-		Levels: []ParBenchLevel{
-			{Parallelism: 1, Queries: []ParBenchQuery{{QueryID: "q6", MeanMS: 10, P50MS: 10, P95MS: 12, Rows: 9}}},
-		},
-	}
-	data, err := json.Marshal(parRep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parPath := filepath.Join(t.TempDir(), "par.json")
-	if err := os.WriteFile(parPath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err = BenchDiffFiles(parPath, parPath, DefaultDiffOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := verdicts(rep)["q6@p1"]; !ok {
-		t.Fatalf("parbench file mis-sniffed: %v", verdicts(rep))
-	}
-}
-
 func TestBenchDiffZeroBaseline(t *testing.T) {
 	// A baseline whose percentiles collapsed to zero (sub-microsecond
 	// runs) must never be judged by percent delta: no Inf/NaN, no
 	// spurious "ok" masking a real slowdown — the query is skipped as
 	// below-floor.
-	mk := func(p50, p95 float64) []byte {
-		rep := ParBenchReport{
-			NumCPU: 4, GOMAXPROCS: 4, SeedScale: 1, Seed: 42, Warmup: 1, Runs: 5,
-			Levels: []ParBenchLevel{
-				{Parallelism: 1, Queries: []ParBenchQuery{{QueryID: "q6", MeanMS: p50, P50MS: p50, P95MS: p95, Rows: 9}}},
-			},
+	mk := func(totalUS int) []byte {
+		var sb strings.Builder
+		for i := 0; i < 5; i++ {
+			fmt.Fprintf(&sb, `{"trace_id":"t%d","query":"q6","total_us":%d}`+"\n", i, totalUS)
 		}
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return []byte(sb.String())
 	}
 	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	if err := os.WriteFile(oldPath, mk(0, 0), 0o644); err != nil {
+	oldPath := filepath.Join(dir, "old.jsonl")
+	newPath := filepath.Join(dir, "new.jsonl")
+	if err := os.WriteFile(oldPath, mk(0), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(newPath, mk(50, 60), 0o644); err != nil {
+	if err := os.WriteFile(newPath, mk(50000), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := BenchDiffFiles(oldPath, newPath, DefaultDiffOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := verdicts(rep)["q6@p1"]; got != "below-floor" {
+	if got := verdicts(rep)["q6"]; got != "below-floor" {
 		t.Fatalf("zero-baseline verdict = %q, want below-floor", got)
 	}
 	if rep.Regressions != 0 || rep.Skipped != 1 {
@@ -255,12 +143,12 @@ func TestBenchDiffZeroBaseline(t *testing.T) {
 func TestBenchDiffRejectsGarbage(t *testing.T) {
 	dir := t.TempDir()
 	cases := map[string]string{
-		"empty":         "",
-		"blank lines":   "\n\n",
-		"not json":      "hello world\n",
-		"object no lvl": `{"runs": 3}`,
-		"all errors":    `{"trace_id":"t","query":"q1","total_us":5,"error":"x"}` + "\n",
-		"no query":      `{"trace_id":"t","total_us":5}` + "\n",
+		"empty":        "",
+		"blank lines":  "\n\n",
+		"not json":     "hello world\n",
+		"not a record": `{"runs": 3}`,
+		"all errors":   `{"trace_id":"t","query":"q1","total_us":5,"error":"x"}` + "\n",
+		"no query":     `{"trace_id":"t","total_us":5}` + "\n",
 	}
 	for name, content := range cases {
 		p := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))

@@ -20,17 +20,25 @@ func parallelSpec(t testing.TB) core.Spec {
 	}
 }
 
+// sequentialOptions is the single-worker reference engine. Parallelism 0
+// would resolve to runtime.NumCPU(), so it has to be set explicitly.
+func sequentialOptions() core.Options {
+	opts := core.DefaultOptions()
+	opts.Parallelism = 1
+	return opts
+}
+
 // TestParallelSequentialIdentical runs all 21 NPD queries on two engines
-// that differ only in Options.Parallelism and asserts the answers are
-// identical row-for-row (the ResultSet rendering is order-sensitive), so
-// parallel execution — union-arm fan-out, partitioned joins, morsel
-// scans — is provably answer- and order-preserving, including the ORDER
-// BY/LIMIT and UNION-dedup queries. ci.sh also runs this test under
-// GOMAXPROCS=1, where parallel scheduling interleaves maximally
-// differently from the multi-core case.
+// that differ only in Options.Parallelism (1 versus 4) and asserts the
+// answers are identical row-for-row (the ResultSet rendering is
+// order-sensitive), so parallel execution — union-arm fan-out,
+// partitioned joins, morsel scans — is provably answer- and
+// order-preserving, including the ORDER BY/LIMIT and UNION-dedup queries.
+// ci.sh also runs this test under GOMAXPROCS=1, where parallel scheduling
+// interleaves maximally differently from the multi-core case.
 func TestParallelSequentialIdentical(t *testing.T) {
 	spec := parallelSpec(t)
-	seqEng, err := core.NewEngine(spec, core.DefaultOptions())
+	seqEng, err := core.NewEngine(spec, sequentialOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +91,7 @@ func TestParallelConcurrentStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqEng, err := core.NewEngine(spec, core.DefaultOptions())
+	seqEng, err := core.NewEngine(spec, sequentialOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
